@@ -79,6 +79,31 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
+def core_label_matrix(zone, ids: np.ndarray,
+                      width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """NUL-padded ``(len(ids), width)`` byte matrix of interned core labels.
+
+    ``zone`` is anything with the ``core_blob``/``core_off`` columns (a
+    :class:`PackedZone` or a segmented view over one); ``ids`` are core
+    label ids.  Returns ``(padded, lens)`` with the true byte lengths.
+    Labels longer than ``width`` are truncated — callers size ``width``
+    to the longest label they gather.
+    """
+    core_off = zone.core_off
+    starts = core_off[ids].astype(np.int64)
+    lens = core_off[ids + 1].astype(np.int64) - starts
+    cols = np.arange(width, dtype=np.int64)
+    blob = zone.core_blob
+    if blob.size:
+        idx = starts[:, None] + cols[None, :]
+        np.minimum(idx, blob.size - 1, out=idx)
+        padded = blob[idx]
+    else:
+        padded = np.zeros((ids.size, width), dtype=np.uint8)
+    padded[cols[None, :] >= lens[:, None]] = 0
+    return padded, lens
+
+
 def _ip_to_u32(ip: str) -> Optional[int]:
     """Strictly-canonical dotted-quad → u32 (None when not round-trippable)."""
     parts = ip.split(".")
@@ -557,15 +582,8 @@ class PackedZone:
         if self._reg_key_cache is None:
             lens = np.diff(self.core_off.astype(np.int64))
             width = max(int(lens.max()), 1) if lens.size else 1
-            cols = np.arange(width, dtype=np.int64)
-            blob = self.core_blob
-            if blob.size:
-                idx = self.core_off[:-1].astype(np.int64)[:, None] + cols[None, :]
-                np.minimum(idx, blob.size - 1, out=idx)
-                padded = blob[idx]
-            else:
-                padded = np.zeros((self.n_cores, width), dtype=np.uint8)
-            padded[cols[None, :] >= lens[:, None]] = 0
+            padded, _ = core_label_matrix(
+                self, np.arange(self.n_cores, dtype=np.int64), width)
             core_keys = np.ascontiguousarray(padded).view(
                 np.dtype(f"S{width}")).ravel()
             core_order = np.argsort(core_keys, kind="stable")

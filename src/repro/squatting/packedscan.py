@@ -6,7 +6,9 @@ benign majority.  A :class:`~repro.dns.packedzone.PackedZone` stores core
 labels as one contiguous byte blob, so the scan vectorizes: each slice
 gathers its unique core labels into a fixed-width ``S``-dtype matrix and
 runs a sorted-array hash-join against the detector's enumerable candidate
-index plus cheap byte-level prefilters for every other rule.
+index — on big-endian u64 codes of each label's first 8 bytes, with the
+exact ``S`` comparison only on prefix hits — plus cheap byte-level
+prefilters for every other rule.
 
 A label is provably unclassifiable (the vector reject) when **all** hold:
 
@@ -18,10 +20,11 @@ A label is provably unclassifiable (the vector reject) when **all** hold:
   prefix (step 4 — a superset of ``_match_combo``'s candidates).
 
 Labels that survive the reject are resolved by **in-kernel family
-matchers** over the same matrix — a positionwise confusable-translation
-table for single-candidate homograph buckets, exact brand/affix span
-extraction for combo tokens and substrings, and per-row wrongTLD checks
-against the aligned brand tables — so the per-domain Python classifier
+matchers** over the same matrix — one flat (row, bucket entry) pass per
+homograph edge that decides equal-length entries against a positionwise
+confusable-translation table, exact brand/affix span extraction for
+combo tokens and substrings, and per-row wrongTLD checks against the
+aligned brand tables — so the per-domain Python classifier
 (``SquattingDetector._classify``, kept verbatim as the byte-identity
 oracle) only sees labels the matrix genuinely cannot represent: ``xn--``
 punycode (the IDN decode path), non-ASCII bytes, over-width or empty
@@ -49,7 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dns.packedzone import PackedZone
+from repro.dns.packedzone import PackedZone, core_label_matrix
 from repro.dns.records import split_domain
 from repro.perf.engine import process_map
 from repro.squatting.bits import pack_window_codes
@@ -89,10 +92,12 @@ class KernelStats:
     query names), ``survivors`` the rows that survived the vector reject,
     ``fast_hits`` the candidate-join rows among them.
     ``homograph_assists`` counts unique labels the vector homograph
-    matcher handed to the scalar bucket walk (multi-candidate buckets or
-    length-changing confusables — still resolved without the full
-    cascade).  ``fallbacks`` maps fallback reason -> row count for the
-    rows that ran the per-domain Python classifier.
+    matcher handed to the scalar bucket walk: rows whose first deciding
+    bucket entry is a marker (a shorter brand label, reachable only
+    through length-changing confusables, or a non-ASCII one) — still
+    resolved without the full cascade.  ``fallbacks`` maps fallback
+    reason -> row count for the rows that ran the per-domain Python
+    classifier.
     """
 
     rows: int = 0
@@ -151,16 +156,26 @@ class KernelStats:
         }
 
 
-def _allowed_bytes(label: str, memo: Dict[str, np.ndarray]) -> np.ndarray:
-    """256-wide mask of bytes a homograph of ``label`` could contain.
+def _byte_bitsets(mask: np.ndarray) -> np.ndarray:
+    """``(..., 256)`` byte-membership booleans as ``(..., 4)`` u64 bitsets.
+
+    Row bitsets and allowed-byte bitsets both come from here, so a subset
+    test is ``(row & ~allow) == 0`` over the four words.
+    """
+    return np.packbits(mask, axis=-1).view(np.uint64)
+
+
+def _allowed_bits(label: str, memo: Dict[str, np.ndarray]) -> np.ndarray:
+    """Bitset (:func:`_byte_bitsets`) of bytes a homograph of ``label``
+    could contain.
 
     Union of the label's own characters and every character of every
     registered confusable variant of them — a superset of what the
     matching DP (:func:`repro.squatting.confusables.matches_homograph`)
     can consume, so masking with it never rejects a true match.
     """
-    mask = memo.get(label)
-    if mask is None:
+    bits = memo.get(label)
+    if bits is None:
         chars = set(label)
         for base in set(label):
             for variant in CONFUSABLES.get(base, ()):
@@ -169,8 +184,8 @@ def _allowed_bytes(label: str, memo: Dict[str, np.ndarray]) -> np.ndarray:
         for char in chars:
             if ord(char) < 256:
                 mask[ord(char)] = True
-        memo[label] = mask
-    return mask
+        bits = memo[label] = _byte_bitsets(mask)
+    return bits
 
 
 def _membership(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -181,6 +196,99 @@ def _membership(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.nd
     pos = np.searchsorted(keys, values)
     np.minimum(pos, keys.size - 1, out=pos)
     return keys[pos] == values, pos
+
+
+def prefix_codes(padded: np.ndarray) -> np.ndarray:
+    """Each row's first 8 bytes as a big-endian u64 (zero-padded rows).
+
+    ``padded`` is a NUL-padded ``(rows, width)`` uint8 matrix.  Byte-wise
+    lexicographic order — the ``S``-dtype order — is preserved up to ties,
+    so the codes of a sorted ``S`` key column are sorted too.
+    """
+    rows, width = padded.shape
+    head = np.zeros((rows, 8), dtype=np.uint8)
+    head[:, :min(width, 8)] = padded[:, :8]
+    return head.view(">u8").ravel().astype(np.uint64)
+
+
+def prefix_membership(keys: np.ndarray, key_codes: np.ndarray,
+                      values: np.ndarray,
+                      value_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_membership` for ``S`` keys, joined on u64 prefix codes.
+
+    ``key_codes``/``value_codes`` are :func:`prefix_codes` of the sorted
+    ``keys`` and of ``values``.  The needles are sorted and joined with
+    one left ``searchsorted`` into the key codes; only values whose
+    prefix code occurs among the keys take the exact ``S`` comparison.
+    The hit mask equals :func:`_membership`'s, and so do the positions
+    *on hits*; positions of misses are 0 and must not be read.
+    """
+    hit = np.zeros(values.shape, dtype=bool)
+    pos = np.zeros(values.shape, dtype=np.int64)
+    if keys.size == 0 or values.size == 0:
+        return hit, pos
+    order = np.argsort(value_codes)
+    needles = value_codes[order]
+    lo = np.searchsorted(key_codes, needles)
+    np.minimum(lo, key_codes.size - 1, out=lo)
+    cand = order[key_codes[lo] == needles]
+    if cand.size:
+        cand_hit, cand_pos = _membership(keys, values[cand])
+        hit[cand] = cand_hit
+        pos[cand] = cand_pos
+    return hit, pos
+
+
+def _key_codes(keys: np.ndarray, width: int) -> np.ndarray:
+    """:func:`prefix_codes` of an ``S{width}`` key column."""
+    return prefix_codes(keys.view(np.uint8).reshape(keys.size, width))
+
+
+@dataclass
+class HomographEdge:
+    """One edge's homograph buckets as CSR tables for the flat pass.
+
+    ``keys`` are the sorted bucket keys ``length * 256 + edge byte``, and
+    bucket ``k`` owns entries ``offsets[k]:offsets[k + 1]`` in scalar walk
+    order.  ``is_label`` marks equal-length ASCII label entries, whose
+    width-padded bytes are in ``enc`` and brand names in ``names``; every
+    other entry is a marker whose allowed-byte set is its ``allow``
+    bitset row.
+    """
+
+    keys: np.ndarray                 # (K,) int64, sorted
+    offsets: np.ndarray              # (K + 1,) int64
+    enc: np.ndarray                  # (E, width) uint8
+    is_label: np.ndarray             # (E,) bool
+    names: List[Optional[str]]       # (E,) brand name of label entries
+    allow: np.ndarray                # (E, 4) uint64
+
+    @classmethod
+    def build(cls, detector, buckets: Dict[int, List[str]], width: int,
+              allow_memo: Dict[str, np.ndarray]) -> "HomographEdge":
+        keys = sorted(buckets)
+        counts = [len(buckets[key]) for key in keys]
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        size = int(offsets[-1])
+        enc = np.zeros((size, width), dtype=np.uint8)
+        is_label = np.zeros(size, dtype=bool)
+        names: List[Optional[str]] = [None] * size
+        allow = np.zeros((size, 4), dtype=np.uint64)
+        i = 0
+        for key in keys:
+            length = key // 256
+            for label in buckets[key]:
+                raw = label.encode("utf-8")
+                if len(label) == length and len(raw) == length:
+                    enc[i, :length] = np.frombuffer(raw, dtype=np.uint8)
+                    is_label[i] = True
+                    names[i] = detector._brand_by_label[label].name
+                else:
+                    allow[i] = _allowed_bits(label, allow_memo)
+                i += 1
+        return cls(np.array(keys, dtype=np.int64), offsets, enc, is_label,
+                   names, allow)
 
 
 class DetectorMatrices:
@@ -198,7 +306,9 @@ class DetectorMatrices:
         sdtype = np.dtype(f"S{width}")
 
         # enumerable candidates (homograph-ASCII / bits / typo), sorted for
-        # the hash join; labels longer than any observed core cannot match
+        # the hash join, with their u64 prefix codes (sorted alike) for
+        # :func:`prefix_membership`; labels longer than any observed core
+        # cannot match
         items = [(label.encode("utf-8"), brand, squat_type)
                  for label, (brand, squat_type)
                  in detector._candidate_index.items()]
@@ -207,6 +317,7 @@ class DetectorMatrices:
             if items else np.zeros(0, dtype=sdtype)
         order = np.argsort(raw, kind="stable")
         self.cand_keys = raw[order]
+        self.cand_codes = _key_codes(self.cand_keys, width)
         self.cand_brands: List[str] = [items[i][1] for i in order]
         self.cand_types: List[SquatType] = [items[i][2] for i in order]
         self.cand_type_codes = np.fromiter(
@@ -222,72 +333,50 @@ class DetectorMatrices:
         self.brand_keys = np.array(
             [label.encode("utf-8") for label in blabels], dtype=sdtype) \
             if blabels else np.zeros(0, dtype=sdtype)
+        self.brand_codes = _key_codes(self.brand_keys, width)
         self.brand_names: List[str] = [
             detector._brand_by_label[label].name for label in blabels]
         self.brand_domains: List[str] = [
             detector._brand_by_label[label].domain for label in blabels]
 
-        # homograph bucket occupancy tables keyed (observed length, edge
-        # byte), plus per-bucket allowed-character masks.  The confusables
-        # DP can only consume a label character that is literally in the
-        # brand label or appears in some confusable variant of one of its
-        # characters, so a label with any byte outside the union mask of a
-        # bucket cannot match any brand in that bucket — the step-3 reject
-        # this makes vectorizable is what keeps random labels off the
-        # per-domain Python fallback.
-        self.hb_first = np.zeros((width + 1, 256), dtype=bool)
-        self.hb_last = np.zeros((width + 1, 256), dtype=bool)
-        self.hb_first_allow = np.zeros((width + 1, 256, 256), dtype=bool)
-        self.hb_last_allow = np.zeros((width + 1, 256, 256), dtype=bool)
-        # ordered candidate lists for the vector homograph matcher, keyed
-        # (edge, observed length, edge byte).  Each entry is a
-        # (label bytes, brand name, allow mask) triple: an ASCII label of
-        # the observed length carries its width-padded bytes — decidable
-        # positionwise against ``readable`` — while a shorter or
-        # non-ASCII candidate carries ``None`` bytes plus its
-        # allowed-byte mask, so rows with a byte outside the mask
-        # provably cannot match it and continue the vector walk; only
-        # rows compatible with such a marker go to the scalar DP.  The
-        # scalar bucket walk takes the first hit in insertion order,
-        # which the per-row walk below reproduces.  Labels *longer* than
+        # homograph bucket occupancy tables keyed (edge, observed length,
+        # edge byte), plus per-bucket allowed-byte sets as u64 bitsets
+        # (:func:`_byte_bitsets`).  The confusables DP can only consume a
+        # label character that is literally in the brand label or appears
+        # in some confusable variant of one of its characters, so a label
+        # with any byte outside the union set of a bucket cannot match any
+        # brand in that bucket — the step-3 reject this makes vectorizable
+        # is what keeps random labels off the per-domain Python fallback.
+        self.hb_occupied = np.zeros((2, width + 1, 256), dtype=bool)
+        self.hb_allow_bits = np.zeros((2, width + 1, 256, 4), dtype=np.uint64)
+        # the bucket entries for the flat homograph pass, one CSR table
+        # per edge (:class:`HomographEdge`), in the scalar bucket walk's
+        # insertion order with duplicates dropped.  Labels *longer* than
         # the observed length are dropped outright — the DP consumes at
-        # least one label char per brand char, so they can never match.
-        self.hom_buckets: Dict[Tuple[int, int, int],
-                               List[Tuple[Optional[np.ndarray],
-                                          Optional[str],
-                                          Optional[np.ndarray]]]] = {}
+        # least one label char per brand char, so they never match.
         allow_memo: Dict[str, np.ndarray] = {}
+        tables: Tuple[Dict[int, List[str]], ...] = ({}, {})
         for (length, edge, char), labels in detector._homograph_buckets.items():
             if not (0 <= length <= width and len(char) == 1
                     and ord(char) < 256):
                 continue
-            occupancy = self.hb_first if edge == 0 else self.hb_last
-            occupancy[length, ord(char)] = True
-            allow = self.hb_first_allow if edge == 0 else self.hb_last_allow
+            self.hb_occupied[edge, length, ord(char)] = True
             for label in labels:
-                allow[length, ord(char)] |= _allowed_bytes(label, allow_memo)
-            entries: List[Tuple[Optional[np.ndarray], Optional[str],
-                                Optional[np.ndarray]]] = []
-            for label in dict.fromkeys(labels):
-                if len(label) > length:
-                    continue
-                raw = label.encode("utf-8")
-                if len(label) == length and len(raw) == length:
-                    enc = np.zeros(width, dtype=np.uint8)
-                    enc[:length] = np.frombuffer(raw, dtype=np.uint8)
-                    entries.append(
-                        (enc, detector._brand_by_label[label].name, None))
-                else:
-                    entries.append(
-                        (None, None, _allowed_bytes(label, allow_memo)))
+                self.hb_allow_bits[edge, length, ord(char)] |= \
+                    _allowed_bits(label, allow_memo)
+            entries = [label for label in dict.fromkeys(labels)
+                       if len(label) <= length]
             if entries:
-                self.hom_buckets[(edge, length, ord(char))] = entries
+                tables[edge][length * 256 + ord(char)] = entries
+        self.hom_edges = tuple(
+            HomographEdge.build(detector, table, width, allow_memo)
+            for table in tables)
 
         # confusable-translation table: readable[l, t] <=> a lone byte l
         # can be read as byte t (identity included; NUL reads as NUL so
         # padding aligns).  For equal-length labels the confusables DP
         # degenerates to a positionwise check against this table, which is
-        # how single-candidate homograph buckets resolve without Python.
+        # how label entries of the homograph buckets resolve without Python.
         self.readable = np.zeros((256, 256), dtype=bool)
         diag = np.arange(256)
         self.readable[diag, diag] = True
@@ -305,6 +394,12 @@ class DetectorMatrices:
                 for prefix in detector._combo_prefix_index
                 if len(prefix.encode("utf-8")) == self.combo_w)
             self.combo_keys = np.array(codes, dtype=np.uint64)
+            # occupancy of the keys' first two bytes: on organic labels
+            # only ~5% of windows pass it and reach the exact join
+            self.combo_head_shift = np.uint64(8 * max(self.combo_w - 2, 0))
+            self.combo_heads = np.zeros(1 << 16, dtype=bool)
+            self.combo_heads[(self.combo_keys
+                              >> self.combo_head_shift).astype(np.intp)] = True
 
         # combo matcher entries: (label bytes, length, brand name,
         # token-eligible, substring-eligible).  A hyphenated brand label
@@ -358,9 +453,10 @@ _MATRICES_CACHE: Dict[Tuple[int, int], Tuple[object, DetectorMatrices]] = {}
 def detector_matrices(detector, width: int) -> DetectorMatrices:
     """The shared :class:`DetectorMatrices` build for (detector, width).
 
-    The allow-mask tables are the expensive part (the (width+1, 256, 256)
-    byte cubes); caching here means a process that both scans a snapshot
-    and serves queries over it pays for them once.
+    The build (sorting several hundred thousand candidate keys, the
+    per-bucket allowed-byte sets) costs most of a second; caching here
+    means a process that both scans a snapshot and serves queries over it
+    pays for it once.
     """
     key = (id(detector), width)
     entry = _MATRICES_CACHE.get(key)
@@ -382,7 +478,7 @@ class _VectorFlags:
     xn: np.ndarray
     ok_first: np.ndarray
     ok_last: np.ndarray
-    present: np.ndarray
+    bits: np.ndarray                 # (rows, 4) u64 bitset of bytes present
     homograph: np.ndarray
     combo: np.ndarray
     keep: np.ndarray
@@ -433,36 +529,12 @@ class PackedScanContext:
         self.sdtype = np.dtype(f"S{self.width}")
         matrices = detector_matrices(detector, self.width)
         self.matrices = matrices
-        self.cand_keys = matrices.cand_keys
         self.cand_brands = matrices.cand_brands
         self.cand_types = matrices.cand_types
-        self.brand_keys = matrices.brand_keys
-        self.hb_first = matrices.hb_first
-        self.hb_last = matrices.hb_last
-        self.hb_first_allow = matrices.hb_first_allow
-        self.hb_last_allow = matrices.hb_last_allow
         self.combo_w = matrices.combo_w
         self.combo_keys = matrices.combo_keys
 
     # ------------------------------------------------------------------
-    def _gather_labels(self, uniq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """NUL-padded (rows, width) byte matrix + lengths for core ids."""
-        zone = self.zone
-        core_off = zone.core_off
-        starts = core_off[uniq].astype(np.int64)
-        lens = core_off[uniq + 1].astype(np.int64) - starts
-        width = self.width
-        cols = np.arange(width, dtype=np.int64)
-        blob = zone.core_blob
-        if blob.size:
-            idx = starts[:, None] + cols[None, :]
-            np.minimum(idx, blob.size - 1, out=idx)
-            padded = blob[idx]
-        else:
-            padded = np.zeros((uniq.size, width), dtype=np.uint8)
-        padded[cols[None, :] >= lens[:, None]] = 0
-        return padded, lens
-
     def _flags(self, padded: np.ndarray, lens: np.ndarray) -> _VectorFlags:
         """All vector reject terms for a NUL-padded label matrix.
 
@@ -470,11 +542,15 @@ class PackedScanContext:
         byte lengths (each ``1..width``) — either gathered from the
         snapshot's core blob or encoded from arbitrary query labels.
         """
+        mat = self.matrices
         n = padded.shape[0]
         keys = np.ascontiguousarray(padded).view(self.sdtype).ravel()
+        codes = prefix_codes(padded)
 
-        is_brand, brand_pos = _membership(self.brand_keys, keys)
-        cand_hit, cand_pos = _membership(self.cand_keys, keys)
+        is_brand, brand_pos = prefix_membership(mat.brand_keys,
+                                                mat.brand_codes, keys, codes)
+        cand_hit, cand_pos = prefix_membership(mat.cand_keys, mat.cand_codes,
+                                               keys, codes)
         nonascii = (padded & 0x80).any(axis=1)
         hyphen = (padded == _HYPHEN).any(axis=1)
         if self.width >= 4:
@@ -487,20 +563,21 @@ class PackedScanContext:
         first = padded[:, 0]
         last = padded[rows, np.maximum(lens - 1, 0)]
         # which bytes occur in each label (NUL padding cleared), to test
-        # against the per-bucket allowed-character masks
+        # against the per-bucket allowed-byte sets
         present = np.zeros((n, 256), dtype=bool)
         present[rows[:, None], padded] = True
         present[:, 0] = False
-        ok_first = ~(present & ~self.hb_first_allow[lens, first]).any(axis=1)
-        ok_last = ~(present & ~self.hb_last_allow[lens, last]).any(axis=1)
-        homograph = ((self.hb_first[lens, first] & ok_first)
-                     | (self.hb_last[lens, last] & ok_last))
+        bits = _byte_bitsets(present)
+        ok_first = ~(bits & ~mat.hb_allow_bits[0, lens, first]).any(axis=1)
+        ok_last = ~(bits & ~mat.hb_allow_bits[1, lens, last]).any(axis=1)
+        homograph = ((mat.hb_occupied[0, lens, first] & ok_first)
+                     | (mat.hb_occupied[1, lens, last] & ok_last))
         combo = self._combo_window_hits(padded, n)
 
         fast = cand_hit & ~is_brand
         keep = is_brand | cand_hit | xn | homograph | hyphen | combo | nonascii
         return _VectorFlags(is_brand, brand_pos, cand_pos, nonascii, hyphen,
-                            xn, ok_first, ok_last, present, homograph, combo,
+                            xn, ok_first, ok_last, bits, homograph, combo,
                             keep, fast)
 
     def _vector_flags(self, padded: np.ndarray,
@@ -522,9 +599,14 @@ class PackedScanContext:
             return np.ones(rows, dtype=bool)
         if self.combo_keys.size == 0 or self.width - self.combo_w + 1 <= 0:
             return np.zeros(rows, dtype=bool)
-        codes = pack_window_codes(padded, self.combo_w)
-        hit, _ = _membership(self.combo_keys, codes.ravel())
-        return hit.reshape(rows, codes.shape[1]).any(axis=1)
+        mat = self.matrices
+        windows = pack_window_codes(padded, self.combo_w)
+        codes = windows.ravel()
+        maybe = np.flatnonzero(
+            mat.combo_heads[(codes >> mat.combo_head_shift).astype(np.intp)])
+        hit = np.zeros(codes.size, dtype=bool)
+        hit[maybe] = _membership(self.combo_keys, codes[maybe])[0]
+        return hit.reshape(windows.shape).any(axis=1)
 
     # ------------------------------------------------------------------
     # in-kernel family matchers
@@ -577,71 +659,73 @@ class PackedScanContext:
                            brands, details) -> None:
         """Vector step 3: resolve homograph-flagged rows.
 
-        Rows are grouped by (length, edge byte) bucket and walked through
-        the bucket's candidates in scalar order; equal-length ASCII
-        candidates are decided positionwise against the
-        confusable-translation table (for equal lengths every DP step
-        consumes exactly one character, so the positionwise check *is*
-        the DP).  A row that reaches a shorter or non-ASCII candidate
-        goes through the detector's scalar bucket walk — still cheap,
-        and counted as a homograph assist rather than a fallback.
+        One flat pass per edge (first byte, then last byte — the scalar
+        walk's bucket order).  The open rows' bucket keys join the edge's
+        CSR table with one ``searchsorted``; every (row, bucket entry)
+        pair is expanded and decided at once — label entries positionwise
+        against the confusable-translation table (for equal lengths every
+        DP step consumes exactly one character, so the positionwise check
+        *is* the DP), markers by an allowed-byte subset test.  Each row's
+        first deciding entry is the scalar walk's first hit: a label
+        entry matches in-kernel, a marker sends the row to the detector's
+        scalar bucket walk (counted as a homograph assist, not a
+        fallback).  Rows an edge decides are closed before the next edge;
+        re-deciding an entry both buckets share is idempotent, so the
+        scalar walk's cross-bucket dedup needs no counterpart here.
         """
         mat = self.matrices
         hom_rows = np.nonzero(flags.homograph & rest)[0]
         if hom_rows.size == 0:
             return
-        n = hom_rows.size
         L = lens[hom_rows]
-        first = padded[hom_rows, 0]
-        last = padded[hom_rows, np.maximum(L - 1, 0)]
-        viable = (mat.hb_first[L, first] & flags.ok_first[hom_rows],
-                  mat.hb_last[L, last] & flags.ok_last[hom_rows])
-        edges = (first.astype(np.int64), last.astype(np.int64))
         sub = padded[hom_rows]
-        pres = flags.present[hom_rows]
-        # the scalar walk tries first-bucket candidates before last-bucket
-        # ones, in insertion order with duplicates skipped; re-checking a
-        # candidate is idempotent (a positionwise miss stays a miss), so
-        # the two passes below need no cross-bucket dedup
-        open_mask = np.ones(n, dtype=bool)
-        assist = np.zeros(n, dtype=bool)
-        for edge in (0, 1):
+        bits = flags.bits[hom_rows]
+        edge_keys = (L * 256 + sub[:, 0],
+                     L * 256 + sub[np.arange(hom_rows.size),
+                                   np.maximum(L - 1, 0)])
+        viable = (flags.ok_first[hom_rows], flags.ok_last[hom_rows])
+        open_mask = np.ones(hom_rows.size, dtype=bool)
+        assist = np.zeros(hom_rows.size, dtype=bool)
+        for edge, table in enumerate(mat.hom_edges):
             active = np.nonzero(open_mask & viable[edge])[0]
-            if active.size == 0:
+            if active.size == 0 or table.keys.size == 0:
                 continue
-            keys = L[active] * 256 + edges[edge][active]
-            for key in np.unique(keys):
-                bucket = mat.hom_buckets.get(
-                    (edge, int(key) // 256, int(key) % 256))
-                if not bucket:
-                    continue
-                group = active[keys == key]
-                alive = np.ones(group.size, dtype=bool)
-                for enc, brand, allow in bucket:
-                    live = group[alive]
-                    if live.size == 0:
-                        break
-                    if enc is None:
-                        # shorter or non-ASCII candidate: the scalar DP
-                        # must arbitrate any row whose bytes all fall in
-                        # the label's allowed set; the rest provably
-                        # cannot match it and keep walking
-                        compat = ~(pres[live] & ~allow).any(axis=1)
-                        if compat.any():
-                            assist[live[compat]] = True
-                            open_mask[live[compat]] = False
-                            alive[alive] = ~compat
-                        continue
-                    okpos = mat.readable[sub[live], enc].all(axis=1)
-                    if okpos.any():
-                        for g in live[okpos]:
-                            r = int(hom_rows[g])
-                            kind[r] = KIND_MATCH
-                            type_code[r] = _HOMOGRAPH_CODE
-                            brands[r] = brand
-                            details[r] = "ascii"
-                        open_mask[live[okpos]] = False
-                        alive[alive] = ~okpos
+            keys = edge_keys[edge][active]
+            bucket = np.searchsorted(table.keys, keys)
+            np.minimum(bucket, table.keys.size - 1, out=bucket)
+            found = table.keys[bucket] == keys
+            active = active[found]
+            bucket = bucket[found]
+            starts = table.offsets[bucket]
+            counts = table.offsets[bucket + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            pair_row = np.repeat(active, counts)
+            pair_entry = (np.arange(total, dtype=np.int64)
+                          + np.repeat(starts - (np.cumsum(counts) - counts),
+                                      counts))
+            is_label = table.is_label[pair_entry]
+            decide = np.empty(total, dtype=bool)
+            lp = np.nonzero(is_label)[0]
+            decide[lp] = mat.readable[sub[pair_row[lp]],
+                                      table.enc[pair_entry[lp]]].all(axis=1)
+            mp = np.nonzero(~is_label)[0]
+            decide[mp] = ~(bits[pair_row[mp]]
+                           & ~table.allow[pair_entry[mp]]).any(axis=1)
+            rows, first = np.unique(pair_row[decide], return_index=True)
+            if rows.size == 0:
+                continue
+            entries = pair_entry[decide][first]
+            open_mask[rows] = False
+            label_hit = table.is_label[entries]
+            assist[rows[~label_hit]] = True
+            for g, e in zip(rows[label_hit], entries[label_hit]):
+                r = int(hom_rows[g])
+                kind[r] = KIND_MATCH
+                type_code[r] = _HOMOGRAPH_CODE
+                brands[r] = table.names[e]
+                details[r] = "ascii"
         arows = hom_rows[assist]
         if arows.size:
             self.kernel.homograph_assists += int(arows.size)
@@ -854,7 +938,7 @@ class PackedScanContext:
         stats = self.kernel
         stats.rows += int(reg_core.size)
         uniq, inv = np.unique(reg_core, return_inverse=True)
-        padded, lens = self._gather_labels(uniq)
+        padded, lens = core_label_matrix(zone, uniq, self.width)
         if not self.in_kernel:
             self._legacy_slice(start, stop, inv, padded, lens,
                                emit, matches, counts)

@@ -255,6 +255,222 @@ def test_property_kernel_equals_scalar_cascade(case):
 
 
 # ----------------------------------------------------------------------
+# the flat homograph pass: buckets that interleave markers with labels
+# ----------------------------------------------------------------------
+
+# brand cores over a tiny alphabet, so (length, edge byte) buckets collide
+# and hold labels of the row's length next to one-shorter markers; the
+# "ö" variants add non-ASCII markers of equal character length
+_HOM_CORES = st.from_regex(r"[mwuv][moliu]{2,5}[lm]", fullmatch=True)
+# equal-length look-alike swaps, and the length-changing ones (at most one
+# per row, or the row leaves every bucket of its brand)
+_HOM_SWAPS = {"o": "0", "l": "1", "i": "1", "u": "v", "v": "u", "ö": "o"}
+_HOM_STRETCH = (("m", "rn"), ("w", "vv"), ("rn", "m"))
+
+
+@st.composite
+def _homograph_catalog_and_names(draw):
+    cores = draw(st.lists(_HOM_CORES, min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        cores.append(cores[0][:1] + "ö" + cores[0][2:])
+    # a sibling listed first that some rows also read as: one interior
+    # "l" swapped for an "i" (a "1" reads as both) — only the first in
+    # catalog order may win — or the first byte swapped u <-> v, so the
+    # sibling sits only in the last-byte bucket and a row the first-byte
+    # bucket decides must not reach it
+    base = next((core for core in reversed(cores) if core[0] in "uv"),
+                cores[-1])
+    at = base.find("l", 1, len(base) - 1)
+    edge_first = draw(st.booleans())
+    if base[0] in "uv" and (edge_first or at < 0):
+        cores.insert(0, "vu"[base[0] == "v"] + base[1:])
+    elif at > 0:
+        cores.insert(0, base[:at] + "i" + base[at + 1:])
+    cores = list(dict.fromkeys(cores))
+    domains = tuple(f"{core}.{_TLDS[i % 2]}" for i, core in enumerate(cores))
+    names = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        # rows lean on the sibling pair
+        label = draw(st.sampled_from(cores + [cores[0], base] * 3))
+        # look-alike swaps at most positions: three or more escape the
+        # enumerated candidates and reach the homograph pass
+        flips = draw(st.lists(st.integers(min_value=0, max_value=3),
+                              min_size=len(label), max_size=len(label)))
+        label = "".join(_HOM_SWAPS.get(char, char) if flip else char
+                        for char, flip in zip(label, flips))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            src, dst = draw(st.sampled_from(_HOM_STRETCH))
+            label = label.replace(src, dst, 1)
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            # an interior byte from the bucket alphabet: same length and
+            # edge bytes, often the same allowed-byte set
+            at = draw(st.integers(min_value=1, max_value=6))
+            if at < len(label) - 1:
+                label = label[:at] + draw(st.sampled_from("mowl1")) \
+                    + label[at + 1:]
+        names.append(f"{label}.{draw(st.sampled_from(_TLDS))}")
+    return domains, names
+
+
+@given(_homograph_catalog_and_names())
+@settings(max_examples=25, deadline=None)
+def test_property_flat_homograph_pass_equals_scalar_cascade(case):
+    domains, names = case
+    detector = _detector_for(domains)
+    zone, packed = _build_pair(names)
+    reference = digest_squat_matches(detector.scan(zone))
+    natural = PackedScanContext(detector, packed).width
+    assists = set()
+    # a tiny slice floor so the two-worker leg really runs the pool over
+    # several slices (the same slices as the serial leg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packedscan, "PACKED_CHUNK", 8)
+        for width in (None, natural + 3):
+            for workers in (1, 2):
+                got = packed_scan(detector, packed, workers=workers,
+                                  chunk_size=8, width=width)
+                assert digest_squat_matches(got) == reference, \
+                    f"workers={workers} width={width}"
+                assists.add(packedscan.take_last_scan_stats()
+                            .homograph_assists)
+    assert len(assists) == 1
+    queries = sorted(set(names))
+    for width in (None, natural + 3):
+        context = PackedScanContext(detector, packed, width=width)
+        assert context.classify_batch(queries) == \
+            [detector.classify_domain(query) for query in queries]
+
+
+def test_flat_homograph_pass_resolves_markers_and_labels():
+    # three-edit look-alikes escape the enumerated candidates:
+    # "mw00l1l" keeps the length and resolves on a label entry in-kernel;
+    # "mw001l" reads as both "mwooil" and "mwooll", and the first in
+    # catalog order wins; the "rn…" rows are one longer, so the brand is a
+    # marker in their last-byte bucket and the row needs the scalar DP;
+    # "möbel" adds a non-ASCII marker to the "m" first-byte buckets;
+    # "uw001l" also reads as "vwooil", which sits only in the last-byte
+    # bucket, but the first-byte bucket's "uwooil" decides it first
+    detector = _detector_for(("mail.com", "mbank.pl", "möbel.de",
+                              "mwoolil.com", "mwooil.com", "mwooll.com",
+                              "vwooil.com", "uwooil.com"))
+    names = ["rnwo0lil.com", "rnw00l1l.com", "mw00l1l.com", "rnai1.com",
+             "mwoo1i1.com", "rnb4nk.net", "mööbel.de", "mxyzl.com",
+             "mw001l.com", "rnw001l.com", "uw001l.com"]
+    zone, packed = _build_pair(names)
+    reference = detector.scan(zone)
+    got = packed_scan(detector, packed, workers=1)
+    assert digest_squat_matches(got) == digest_squat_matches(reference)
+    verdicts = {m.domain: (m.brand, m.detail) for m in got}
+    assert verdicts["mw00l1l.com"] == ("mwoolil", "ascii")
+    assert verdicts["mw001l.com"] == ("mwooil", "ascii")
+    assert verdicts["uw001l.com"] == ("uwooil", "ascii")
+    stats = packedscan.take_last_scan_stats()
+    assert stats.homograph_assists == 3
+    mat = PackedScanContext(detector, packed).matrices
+    for table in mat.hom_edges:
+        assert np.all(np.diff(table.keys) > 0)
+        assert table.offsets[-1] == table.enc.shape[0] == len(table.names)
+        assert all((name is not None) == bool(flag)
+                   for name, flag in zip(table.names, table.is_label))
+
+
+# ----------------------------------------------------------------------
+# the u64 prefix-code join behind the candidate and brand joins
+# ----------------------------------------------------------------------
+
+def _s_column(labels, width):
+    """Sorted unique ``S{width}`` keys plus their padded byte matrix."""
+    keys = np.array(sorted(set(label.encode() for label in labels)),
+                    dtype=f"S{width}")
+    return keys, keys.view(np.uint8).reshape(keys.size, width)
+
+
+def _check_prefix_join(key_labels, needle_labels, width):
+    keys, key_matrix = _s_column(key_labels, width)
+    needles = np.array([label.encode() for label in needle_labels],
+                       dtype=f"S{width}")
+    needle_matrix = needles.view(np.uint8).reshape(needles.size, width)
+    hit, pos = packedscan.prefix_membership(
+        keys, packedscan.prefix_codes(key_matrix), needles,
+        packedscan.prefix_codes(needle_matrix))
+    if keys.size:
+        ref_pos = np.minimum(np.searchsorted(keys, needles), keys.size - 1)
+        ref_hit = keys[ref_pos] == needles
+    else:
+        ref_pos = np.zeros(needles.size, dtype=np.int64)
+        ref_hit = np.zeros(needles.size, dtype=bool)
+    assert hit.tolist() == ref_hit.tolist()
+    assert pos[hit].tolist() == ref_pos[ref_hit].tolist()
+    return hit
+
+
+def test_prefix_codes_big_endian_and_zero_padded():
+    _keys, matrix = _s_column(["ab"], 3)
+    assert packedscan.prefix_codes(matrix).tolist() == \
+        [int.from_bytes(b"ab" + b"\0" * 6, "big")]
+    _keys, matrix = _s_column(["abcdefghij"], 10)
+    assert packedscan.prefix_codes(matrix).tolist() == \
+        [int.from_bytes(b"abcdefgh", "big")]
+
+
+def test_prefix_join_edge_cases_across_the_8_byte_boundary():
+    keys = ["abcdefgh", "abcdefghi", "abcdefghij", "abcdefgz", "abc", "ab",
+            "b", "zz"]
+    needles = ["abcdefgh", "abcdefghi", "abcdefghij", "abcdefghx",
+               "abcdefghix", "abc", "abcd", "abcx", "ab", "a", "b", "bz",
+               "zz", "zzz", "q"]
+    for width in range(1, 11):
+        fit_keys = [k for k in keys if len(k) <= width]
+        fit_needles = [n for n in needles if len(n) <= width]
+        hit = _check_prefix_join(fit_keys, fit_needles, width)
+        assert hit.tolist() == [n in fit_keys for n in fit_needles]
+    # an empty key set hits nothing
+    hit = _check_prefix_join([], ["abc", "abcdefghij"], 10)
+    assert not hit.any()
+
+
+@given(st.lists(st.from_regex(r"[ab]{1,10}", fullmatch=True), max_size=40),
+       st.lists(st.from_regex(r"[abc]{1,10}", fullmatch=True), min_size=1,
+                max_size=60),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_property_prefix_join_equals_searchsorted(keys, needles, extra):
+    # two-letter keys share 8-byte prefixes all the time; needles include
+    # keys plus trailing bytes via the shared alphabet
+    needles = needles + [key + "a" for key in keys[:5]]
+    width = max(len(label) for label in keys + needles) + extra
+    if width > 10:
+        needles = [n for n in needles if len(n) <= 10] or ["a"]
+        keys = [k for k in keys if len(k) <= 10]
+        width = 10
+    _check_prefix_join(keys, needles, width)
+
+
+def test_join_positions_are_never_read_outside_the_hit_mask():
+    """Poison every miss position: a read outside the hit mask would
+    index out of range (or change a verdict)."""
+    detector = _paper_detector()
+    names = _adversarial_names()
+    zone, packed = _build_pair(names)
+    reference = digest_squat_matches(detector.scan(zone))
+    real = packedscan.prefix_membership
+
+    def poisoned(keys, key_codes, values, value_codes):
+        hit, pos = real(keys, key_codes, values, value_codes)
+        pos[~hit] = keys.size + 10 ** 9
+        return hit, pos
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packedscan, "prefix_membership", poisoned)
+        got = packed_scan(detector, packed, workers=1)
+        assert digest_squat_matches(got) == reference
+        queries = names[:300]
+        context = PackedScanContext(detector, packed)
+        assert context.classify_batch(queries) == \
+            [detector.classify_domain(query) for query in queries]
+
+
+# ----------------------------------------------------------------------
 # the bit-parallel edit-distance kernel against its scalar oracles
 # ----------------------------------------------------------------------
 
